@@ -35,6 +35,16 @@ Output does not depend on the executor, the batch size, or
 batch-vs-streaming operation (beyond which windows have closed) — the
 invariants the legacy classes established, inherited wholesale because
 this class *is* their code, merged.
+
+Each stage's work call is written once, inside ``with
+self._stage("parse") as stage:``; the one instrumentation seam
+(:class:`~repro.telemetry.stages.StageObservers`) owns the attached
+observers — telemetry, tracer, profiler — and decides what a stage
+costs (a shared no-op handle when dark).  Stage components
+(``parser.parse_batch``, ``sessionizer.push``, ``detector.detect``,
+``executor.map``, ``classifier.classify``, ``pools.deliver``) are
+looked up on the instance at every call, so callers may patch them
+after construction.
 """
 
 from __future__ import annotations
@@ -68,19 +78,10 @@ from repro.parsing.logram import LogramParser
 from repro.parsing.masking import default_masker, no_masker
 from repro.telemetry.config import TelemetryConfig
 from repro.telemetry.instrument import PipelineTelemetry
-from repro.telemetry.profiling import (
-    SamplingProfiler,
-    pop_stage,
-    push_stage,
-)
+from repro.telemetry.profiling import SamplingProfiler
 from repro.telemetry.server import MetricsServer
-from repro.telemetry.tracing import (
-    AlertProvenance,
-    HealthMonitor,
-    TraceContext,
-    Tracer,
-    TraceStore,
-)
+from repro.telemetry.stages import StageObservers
+from repro.telemetry.tracing import AlertProvenance, HealthMonitor, Tracer
 
 #: Distinguishes "caller said nothing" from an explicit ``None``
 #: (= one batch for the whole list) in :meth:`Pipeline.process`.
@@ -207,78 +208,34 @@ class Pipeline:
         self._stats = PipelineStats()
         self._trained = False
         self._report_counter = 0
-        # -- observability: telemetry registry + adaptive controller --------
+        # -- observability: one seam owns telemetry, tracer and profiler ------
         self._batch_size_override: int | None = None
         self._metrics_server: MetricsServer | None = None
-        telemetry_config = spec.telemetry_config()
-        if (telemetry_config is None and metrics_registry is not None
-                and not spec.telemetry):
+        config = spec.telemetry_config()
+        if metrics_registry is not None and not spec.telemetry:
             # An injected registry is an explicit opt-in; only a table
             # that says enabled = false keeps the pipeline dark.
-            telemetry_config = TelemetryConfig()
-        self._telemetry = (
-            PipelineTelemetry(telemetry_config, registry=metrics_registry)
-            if telemetry_config is not None else None
-        )
-        if self._telemetry is not None:
-            self._telemetry.attach_pipeline(self)
-        # -- tracing + provenance + readiness probes -------------------------
-        self._trace: TraceContext | None = None
-        self._probe_scope = probe_scope
-        if tracer is not None:
-            self._tracer: Tracer | None = tracer
-        elif telemetry_config is not None and telemetry_config.tracing:
-            self._tracer = Tracer(
-                TraceStore(telemetry_config.trace_buffer),
-                sample_rate=telemetry_config.trace_sample_rate,
-            )
-        else:
-            self._tracer = None
-        if self._tracer is not None and self._telemetry is not None:
-            self._telemetry.attach_tracer(self._tracer)
-        # -- continuous profiling: one sampler, stage-attributed -------------
+            config = TelemetryConfig()
         # Stage markers carry a tenant name so a shared (gateway)
         # profiler attributes per tenant; a standalone pipeline reuses
         # the tracer's tenant, else the probe scope, else the default.
-        if tracer is not None:
-            self._profile_tenant = tracer.tenant
-        else:
-            self._profile_tenant = (probe_scope.rstrip(".")
-                                    or DEFAULT_TENANT)
-        self._owns_profiler = False
-        if profiler is not None:
-            # Injected (the gateway's shared sampler): the owner
-            # attaches it to the shared registry and drives start/stop.
-            self._profiler: SamplingProfiler | None = profiler
-        elif telemetry_config is not None and telemetry_config.profile:
-            self._profiler = SamplingProfiler(
-                hz=telemetry_config.profile_hz,
-                max_stacks=telemetry_config.profile_stacks,
-            )
-            self._owns_profiler = True
-            self._telemetry.attach_profiler(self._profiler)
-            self._profiler.start()
-        else:
-            self._profiler = None
+        self._observers = StageObservers(
+            config, registry=metrics_registry, tracer=tracer,
+            profiler=profiler,
+            tenant=probe_scope.rstrip(".") or DEFAULT_TENANT)
+        self._probe_scope = probe_scope
+        self._health = health
         if health is not None:
-            self._health: HealthMonitor | None = health
-        else:
-            self._health = (HealthMonitor()
-                            if self._telemetry is not None else None)
-        if self._health is not None:
-            self._health.check(f"{probe_scope}pipeline",
-                               lambda: self._trained)
+            health.check(f"{probe_scope}pipeline", lambda: self._trained)
         autoscale_config = spec.autoscale_config()
         self.autoscaler = (
-            AutoscaleController(autoscale_config, pipeline=self,
-                                telemetry=self._telemetry)
+            AutoscaleController(autoscale_config, pipeline=self)
             if autoscale_config is not None else None
         )
-        if self.autoscaler is not None and self._telemetry is not None:
-            self._telemetry.attach_autoscale(self.autoscaler)
-        if (telemetry_config is not None
-                and telemetry_config.metrics_port is not None):
-            self.start_metrics_server(telemetry_config.metrics_port)
+        if self.telemetry_enabled:
+            self._wire_telemetry()
+            if config.metrics_port is not None:
+                self.start_metrics_server(config.metrics_port)
 
     # -- construction -----------------------------------------------------------
 
@@ -375,17 +332,21 @@ class Pipeline:
     # -- observability ----------------------------------------------------------
 
     @property
+    def _telemetry(self) -> PipelineTelemetry | None:
+        return self._observers.telemetry
+
+    @property
     def telemetry_enabled(self) -> bool:
         return self._telemetry is not None
 
     @property
     def tracing_enabled(self) -> bool:
-        return self._tracer is not None
+        return self.tracer is not None
 
     @property
     def tracer(self) -> Tracer | None:
         """The span/provenance recorder (``None`` with tracing off)."""
-        return self._tracer
+        return self._observers.tracer
 
     @property
     def health(self) -> HealthMonitor | None:
@@ -394,12 +355,12 @@ class Pipeline:
 
     @property
     def profiling_enabled(self) -> bool:
-        return self._profiler is not None
+        return self.profiler is not None
 
     @property
     def profiler(self) -> SamplingProfiler | None:
         """The continuous sampler (``None`` with profiling off)."""
-        return self._profiler
+        return self._observers.profiler
 
     def profile(self, limit: int = 20) -> dict:
         """The live profile: aggregate counters + top-``limit`` stacks.
@@ -410,14 +371,15 @@ class Pipeline:
         with tracing off, asking for an artifact the run never
         recorded is a config error, not an empty answer.
         """
-        if self._profiler is None:
+        profiler = self.profiler
+        if profiler is None:
             raise RuntimeError(
                 "profiling is not enabled; set [telemetry] profile = true "
                 "(or pass --profile) to run the sampling profiler"
             )
         return {
-            "stats": self._profiler.stats(),
-            "hotspots": self._profiler.top(limit),
+            "stats": profiler.stats(),
+            "hotspots": profiler.top(limit),
         }
 
     def explain(self, alert_id: int) -> AlertProvenance:
@@ -427,53 +389,67 @@ class Pipeline:
         summaries.  Raises ``KeyError`` for unknown ids and
         ``RuntimeError`` when tracing is off.
         """
-        if self._tracer is None:
+        tracer = self.tracer
+        if tracer is None:
             raise RuntimeError(
                 "tracing is not enabled; set [telemetry] tracing = true "
                 "(or pass --trace) to record alert provenance"
             )
-        return self._tracer.explain(alert_id)
+        return tracer.explain(alert_id)
 
     def trace_spans(self, **filters):
         """Retained spans (``trace_id=`` / ``name=`` / ``limit=`` filters)."""
-        if self._tracer is None:
-            return []
-        return self._tracer.store.spans(**filters)
+        store = self._observers.trace_store
+        return store.spans(**filters) if store is not None else []
 
     def trace_dump(self) -> dict:
         """The portable trace artifact: every retained span + every
         provenance record, as plain JSON-ready dicts (written by
         ``repro pipeline --trace-dump`` and read back by
         ``repro explain --trace-file``)."""
-        if self._tracer is None:
+        tracer = self.tracer
+        if tracer is None:
             raise RuntimeError("tracing is not enabled; nothing to dump")
-        store = self._tracer.store
+        store = tracer.store
         return {
-            "sample_rate": self._tracer.sample_rate,
+            "sample_rate": tracer.sample_rate,
             "buffered": len(store),
             "evicted": store.evicted,
             "spans": store.snapshot(),
             "alerts": [provenance.as_dict()
-                       for provenance in self._tracer.provenance()],
+                       for provenance in tracer.provenance()],
         }
 
-    # -- tracing plumbing (root spans per processing call) -----------------------
+    # -- the instrumentation seam ------------------------------------------------
 
-    def _trace_begin(self, kind: str, records: int) -> TraceContext | None:
+    def _stage(self, name: str):
+        """The observers' handle for one stage, a context manager (one
+        shared no-op object while nothing is attached)."""
+        return self._observers.stage(name)
+
+    def _trace(self, kind: str, records: int):
         """Root (or adopt) the sampled trace for one processing call."""
-        ctx = self._tracer.begin(
+        return self._observers.trace(
             kind,
             records=records,
             executor=self.executor.name,
             shards=self.spec.shards,
             detector_shards=self.detector_shards,
         )
-        self._trace = ctx
-        return ctx
 
-    def _trace_end(self, ctx: TraceContext | None) -> None:
-        self._trace = None
-        self._tracer.finish(ctx)
+    def _wire_telemetry(self) -> PipelineTelemetry:
+        """Point the metrics surface — created here on a late opt-in —
+        at this pipeline, its autoscaler and a readiness monitor."""
+        telemetry = self._observers.enable_telemetry()
+        telemetry.attach_pipeline(self)
+        if self.autoscaler is not None:
+            self.autoscaler.telemetry = telemetry
+            telemetry.attach_autoscale(self.autoscaler)
+        if self._health is None:
+            self._health = HealthMonitor()
+            self._health.check(f"{self._probe_scope}pipeline",
+                               lambda: self._trained)
+        return telemetry
 
     @property
     def metrics_server(self) -> MetricsServer | None:
@@ -506,26 +482,14 @@ class Pipeline:
         """
         if self._metrics_server is not None:
             return self._metrics_server
-        if self._telemetry is None:
-            self._telemetry = PipelineTelemetry()
-            self._telemetry.attach_pipeline(self)
-            if self.autoscaler is not None:
-                self.autoscaler.telemetry = self._telemetry
-                self._telemetry.attach_autoscale(self.autoscaler)
-        if self._health is None:
-            self._health = HealthMonitor()
-            self._health.check(f"{self._probe_scope}pipeline",
-                               lambda: self._trained)
+        telemetry = self._wire_telemetry()
         if port is None:
-            port = (self._telemetry.config.metrics_port
-                    if self._telemetry.config.metrics_port is not None
-                    else 0)
+            port = telemetry.config.metrics_port or 0
         self._metrics_server = MetricsServer(
-            self._telemetry.registry, port,
-            trace_store=self._tracer.store if self._tracer is not None
-            else None,
+            telemetry.registry, port,
+            trace_store=self._observers.trace_store,
             health=self._health,
-            profiler=self._profiler,
+            profiler=self.profiler,
         )
         return self._metrics_server
 
@@ -535,8 +499,7 @@ class Pipeline:
         """Release the executor's worker pool, the metrics endpoint,
         and the pipeline-owned profiler thread (idempotent)."""
         self.executor.close()
-        if self._owns_profiler and self._profiler is not None:
-            self._profiler.stop()
+        self._observers.close()
         if self._metrics_server is not None:
             self._metrics_server.close()
             self._metrics_server = None
@@ -607,14 +570,8 @@ class Pipeline:
         shards by session-id hash and fit the shards concurrently on
         the configured executor (training is executor-independent).
         """
-        profiler = self._profiler
-        if profiler is not None:
-            push_stage(self._profile_tenant, "fit")
-        try:
+        with self._stage("fit"):
             return self._fit_impl(records, labels_by_session)
-        finally:
-            if profiler is not None:
-                pop_stage()
 
     def _fit_impl(
         self,
@@ -656,7 +613,7 @@ class Pipeline:
         return self
 
     def _fit_sharded(self, records: list[LogRecord]) -> "Pipeline":
-        parsed = self._parse_batched(records)
+        parsed = self._parse_batched(records, self.batch_size)
         sessions = _sessions_by_key(parsed)
         partitions: list[list[list[ParsedLog]]] = [
             [] for _ in range(self.detector_shards)
@@ -682,73 +639,30 @@ class Pipeline:
         if not self._trained:
             raise RuntimeError(f"Pipeline.fit() must run before {method}()")
 
-    def _parse_batched(self, records: Iterable[LogRecord]) -> list[ParsedLog]:
-        """Drain micro-batches of ``batch_size`` through the shards."""
-        parsed = self._timed_parse(records, self.batch_size)
+    def _parse_batched(self, records: Iterable[LogRecord],
+                       batch_size: int | None) -> list[ParsedLog]:
+        """Drain micro-batches of ``batch_size`` (``None``: one batch)
+        through the parser: stage 1 of every batched path."""
+        with self._stage("parse") as stage:
+            parsed = parse_in_batches(self.parser, records, batch_size)
+            templates = self.parser.template_count
+            stage.annotate(records=len(parsed), templates=templates)
         self._stats.records_parsed += len(parsed)
-        self._stats.templates_discovered = self.parser.template_count
+        self._stats.templates_discovered = templates
         return parsed
 
-    def _timed_parse(self, records: Iterable[LogRecord],
-                     batch_size: int | None) -> list[ParsedLog]:
-        """``parse_in_batches`` with the stage-1 latency observed.
-
-        The telemetry hook is read-only (clock + histogram), so output
-        is byte-identical with telemetry on or off; disabled cost is
-        one ``is None`` check per call.
-        """
-        telemetry = self._telemetry
-        trace = self._trace
-        if telemetry is None and trace is None:
-            return parse_in_batches(self.parser, records, batch_size)
-        profiler = self._profiler
-        if profiler is not None:
-            push_stage(self._profile_tenant, "parse")
-        try:
-            start = telemetry.clock() if telemetry is not None else 0.0
-            if trace is not None:
-                with trace.span("parse") as span:
-                    parsed = parse_in_batches(
-                        self.parser, records, batch_size)
-                    span.annotate(records=len(parsed),
-                                  templates=self.parser.template_count)
-            else:
-                parsed = parse_in_batches(self.parser, records, batch_size)
-            if telemetry is not None:
-                telemetry.observe_parse(
-                    len(parsed), telemetry.clock() - start)
-            return parsed
-        finally:
-            if profiler is not None:
-                pop_stage()
-
-    def _push_sessionizer(self, event: ParsedLog) -> list[list[ParsedLog]]:
-        """``sessionizer.push`` with the sessionize latency observed."""
-        telemetry = self._telemetry
-        trace = self._trace
-        if telemetry is None and trace is None:
-            return self.sessionizer.push(event)
-        profiler = self._profiler
-        if profiler is not None:
-            push_stage(self._profile_tenant, "sessionize")
-        try:
-            start = telemetry.clock() if telemetry is not None else 0.0
-            # Span only on record-granular traces: a batch trace would
-            # mint one sessionize span per record and flood the ring
-            # buffer.
-            if trace is not None and trace.kind == "record":
-                with trace.span("sessionize") as span:
-                    closed = self.sessionizer.push(event)
-                    span.annotate(closed=len(closed),
-                                  open=self.sessionizer.open_sessions)
-            else:
-                closed = self.sessionizer.push(event)
-            if telemetry is not None:
-                telemetry.observe_sessionize(telemetry.clock() - start)
-            return closed
-        finally:
-            if profiler is not None:
-                pop_stage()
+    def _sessionize(
+        self, events: Iterable[ParsedLog]
+    ) -> list[list[ParsedLog]]:
+        """Push events through the sessionizer; the sessions they
+        closed, in closing order."""
+        closed: list[list[ParsedLog]] = []
+        with self._stage("sessionize") as stage:
+            for event in events:
+                closed.extend(self.sessionizer.push(event))
+            stage.annotate(closed=len(closed),
+                           open=self.sessionizer.open_sessions)
+        return closed
 
     # -- scoring ----------------------------------------------------------------
 
@@ -762,62 +676,38 @@ class Pipeline:
         if len(window) < self.spec.min_window_events:
             return None
         self._stats.windows_scored += 1
-        telemetry = self._telemetry
-        trace = self._trace
-        profiler = self._profiler
-        if telemetry is None and trace is None:
+        with self._stage("detect") as stage:
             result = self.detector.detect(window)
-        else:
-            if profiler is not None:
-                push_stage(self._profile_tenant, "detect")
-            try:
-                start = telemetry.clock() if telemetry is not None else 0.0
-                if trace is not None:
-                    with trace.span("detect") as span:
-                        result = self.detector.detect(window)
-                        span.annotate(session=window[0].windowing_key,
-                                      events=len(window),
-                                      score=result.score,
-                                      anomalous=result.anomalous)
-                else:
-                    result = self.detector.detect(window)
-                if telemetry is not None:
-                    telemetry.observe_detect(1, telemetry.clock() - start)
-            finally:
-                if profiler is not None:
-                    pop_stage()
+            stage.annotate(session=window[0].windowing_key,
+                           events=len(window),
+                           score=result.score,
+                           anomalous=result.anomalous)
         if not result.anomalous:
             return None
+        return self._deliver(
+            window[0].session_id or f"window-{self._stats.windows_scored}",
+            window, result)
+
+    def _deliver(self, session_id: str, events: list[ParsedLog],
+                 result: DetectionResult) -> ClassifiedAlert:
+        """An anomalous window's tail — report numbering, classify,
+        pool delivery, provenance — single and sharded alike."""
         self._stats.anomalies_detected += 1
         report = AnomalyReport(
             report_id=self._report_counter,
-            session_id=window[0].session_id
-            or f"window-{self._stats.windows_scored}",
-            events=tuple(window),
+            session_id=session_id,
+            events=tuple(events),
             detection=result,
         )
         self._report_counter += 1
-        if profiler is not None:
-            push_stage(self._profile_tenant, "classify")
-        try:
-            if trace is not None:
-                with trace.span("classify") as span:
-                    predicted = self.classifier.classify(report)
-                    alert = self.pools.deliver(predicted)
-                    span.annotate(alert_id=report.report_id,
-                                  pool=alert.pool,
-                                  criticality=alert.criticality)
-            else:
-                predicted = self.classifier.classify(report)
-                alert = self.pools.deliver(predicted)
-        finally:
-            if profiler is not None:
-                pop_stage()
+        with self._stage("classify") as stage:
+            predicted = self.classifier.classify(report)
+            alert = self.pools.deliver(predicted)
+            stage.annotate(alert_id=report.report_id,
+                           pool=alert.pool,
+                           criticality=alert.criticality)
         self._stats.alerts_classified += 1
-        if self._tracer is not None:
-            self._tracer.record_alert(
-                alert, predicted_pool=predicted.pool,
-                trace_id=trace.trace_id if trace is not None else None)
+        self._observers.record_alert(alert, predicted.pool)
         return alert
 
     def _detect_keyed(
@@ -836,37 +726,16 @@ class Pipeline:
         for (_, events), shard in zip(keyed_sessions, shard_of):
             groups[shard].append(events)
         busy = [shard for shard in range(shards) if groups[shard]]
-        telemetry = self._telemetry
-        trace = self._trace
-        profiler = self._profiler
-        if profiler is not None:
-            # Attributes the fan-out's calling-thread share (serial
-            # executor: all of it); worker threads sample as "other".
-            push_stage(self._profile_tenant, "detect")
-        try:
-            start = telemetry.clock() if telemetry is not None else 0.0
-            if trace is not None:
-                with trace.span("detect") as span:
-                    outcomes = self.executor.map(
-                        _detect_shard,
-                        [(self.detectors[shard], groups[shard])
-                         for shard in busy],
-                    )
-                    span.annotate(sessions=len(keyed_sessions),
-                                  busy_shards=len(busy),
-                                  executor=self.executor.name)
-            else:
-                outcomes = self.executor.map(
-                    _detect_shard,
-                    [(self.detectors[shard], groups[shard])
-                     for shard in busy],
-                )
-            if telemetry is not None:
-                telemetry.observe_detect(len(keyed_sessions),
-                                         telemetry.clock() - start)
-        finally:
-            if profiler is not None:
-                pop_stage()
+        # The profiler is shown the fan-out's calling-thread share
+        # (serial executor: all of it); workers sample as "other".
+        with self._stage("detect") as stage:
+            outcomes = self.executor.map(
+                _detect_shard,
+                [(self.detectors[shard], groups[shard]) for shard in busy],
+            )
+            stage.annotate(sessions=len(keyed_sessions),
+                           busy_shards=len(busy),
+                           executor=self.executor.name)
         per_shard = {shard: iter(results)
                      for shard, results in zip(busy, outcomes)}
         return [next(per_shard[shard]) for shard in shard_of]
@@ -883,49 +752,22 @@ class Pipeline:
         """
         self._require_trained("score_sessions")
         if not self._sharded:
-            alerts = []
-            for window in sessions:
-                alert = self._score_window(window)
-                if alert is not None:
-                    alerts.append(alert)
-            return alerts
+            return [
+                alert for window in sessions
+                if (alert := self._score_window(window)) is not None
+            ]
         keyed = [
             (events[0].windowing_key, events)
             for events in sessions
             if len(events) >= self.spec.min_window_events
         ]
         results = self._detect_keyed(keyed)
-        trace = self._trace
-        alerts: list[ClassifiedAlert] = []
-        for (key, events), result in zip(keyed, results):
-            self._stats.windows_scored += 1
-            if not result.anomalous:
-                continue
-            self._stats.anomalies_detected += 1
-            report = AnomalyReport(
-                report_id=self._report_counter,
-                session_id=key,
-                events=tuple(events),
-                detection=result,
-            )
-            self._report_counter += 1
-            if trace is not None:
-                with trace.span("classify") as span:
-                    predicted = self.classifier.classify(report)
-                    alert = self.pools.deliver(predicted)
-                    span.annotate(alert_id=report.report_id,
-                                  pool=alert.pool,
-                                  criticality=alert.criticality)
-            else:
-                predicted = self.classifier.classify(report)
-                alert = self.pools.deliver(predicted)
-            alerts.append(alert)
-            self._stats.alerts_classified += 1
-            if self._tracer is not None:
-                self._tracer.record_alert(
-                    alert, predicted_pool=predicted.pool,
-                    trace_id=trace.trace_id if trace is not None else None)
-        return alerts
+        self._stats.windows_scored += len(keyed)
+        return [
+            self._deliver(key, events, result)
+            for (key, events), result in zip(keyed, results)
+            if result.anomalous
+        ]
 
     # -- lifecycle: offline processing ------------------------------------------
 
@@ -950,7 +792,7 @@ class Pipeline:
         """The whole-stream windowing path, regardless of streaming mode."""
         self._require_trained("run")
         if self._sharded:
-            parsed = self._parse_batched(records)
+            parsed = self._parse_batched(records, self.batch_size)
             yield from self.score_sessions(_sessions_by_key(parsed).values())
             return
         parsed = self._parse(records)
@@ -989,23 +831,15 @@ class Pipeline:
         path.  Output is identical for every choice.
         """
         self._require_trained("process")
-        if self._tracer is None:
-            if self.streaming:
-                return self._process_streaming(records, batch_size)
-            return self.process_offline(records, batch_size)
         if not isinstance(records, list):
             records = list(records)
-        ctx = self._trace_begin("batch", len(records))
-        try:
+        with self._trace("batch", len(records)) as trace:
             if self.streaming:
                 alerts = self._process_streaming(records, batch_size)
             else:
                 alerts = self.process_offline(records, batch_size)
-            if ctx is not None:
-                ctx.annotate(alerts=len(alerts))
-            return alerts
-        finally:
-            self._trace_end(ctx)
+            trace.annotate(alerts=len(alerts))
+        return alerts
 
     def process_offline(
         self, records: Iterable[LogRecord], batch_size
@@ -1015,22 +849,16 @@ class Pipeline:
         if batch_size is _UNSET:
             batch_size = self.batch_size
         if self._sharded:
-            parsed = self._timed_parse(records, batch_size or 1)
-            self._stats.records_parsed += len(parsed)
-            self._stats.templates_discovered = self.parser.template_count
+            parsed = self._parse_batched(records, batch_size or 1)
             return self.score_sessions(_sessions_by_key(parsed).values())
         if batch_size == 0:
+            # The per-record reference path, unobserved by design: it
+            # is what every batched path is compared against.
             parsed = list(self._parse(records))
+            self._stats.templates_discovered = self.parser.template_count
         else:
-            parsed = self._timed_parse(records, batch_size)
-            self._stats.records_parsed += len(parsed)
-        self._stats.templates_discovered = self.parser.template_count
-        alerts = []
-        for window in self._window(parsed):
-            alert = self._score_window(window)
-            if alert is not None:
-                alerts.append(alert)
-        return alerts
+            parsed = self._parse_batched(records, batch_size)
+        return self.score_sessions(self._window(parsed))
 
     def process_batch(
         self,
@@ -1080,108 +908,44 @@ class Pipeline:
                 "process_record() needs streaming mode; set spec.streaming "
                 "or call stream() first"
             )
-        if self._tracer is None:
-            return self._process_one(record)
-        ctx = self._trace_begin("record", 1)
-        try:
-            alerts = self._process_one(record)
-            if ctx is not None:
-                ctx.annotate(alerts=len(alerts))
-            return alerts
-        finally:
-            self._trace_end(ctx)
-
-    def _process_one(self, record: LogRecord) -> list[ClassifiedAlert]:
-        telemetry = self._telemetry
-        trace = self._trace
-        if telemetry is None and trace is None:
-            parsed = self.parser.parse_record(record)
-        else:
-            profiler = self._profiler
-            if profiler is not None:
-                push_stage(self._profile_tenant, "parse")
-            try:
-                start = telemetry.clock() if telemetry is not None else 0.0
-                if trace is not None:
-                    with trace.span("parse") as span:
-                        parsed = self.parser.parse_record(record)
-                        span.annotate(records=1,
-                                      template_id=parsed.template_id)
-                else:
-                    parsed = self.parser.parse_record(record)
-                if telemetry is not None:
-                    telemetry.observe_parse(1, telemetry.clock() - start)
-            finally:
-                if profiler is not None:
-                    pop_stage()
-        self._stats.records_parsed += 1
-        self._stats.templates_discovered = self.parser.template_count
-        closed = self._push_sessionizer(parsed)
-        if self._sharded:
-            return self.score_sessions(closed) if closed else []
-        alerts = []
-        for session in closed:
-            alert = self._score_window(session)
-            if alert is not None:
-                alerts.append(alert)
+        with self._trace("record", 1) as trace:
+            with self._stage("parse") as stage:
+                parsed = self.parser.parse_record(record)
+                stage.annotate(records=1, template_id=parsed.template_id)
+            self._stats.records_parsed += 1
+            self._stats.templates_discovered = self.parser.template_count
+            alerts = self._score_closed(self._sessionize((parsed,)))
+            trace.annotate(alerts=len(alerts))
         return alerts
 
     def _process_streaming(
-        self, records: Iterable[LogRecord], batch_size
+        self, records: list[LogRecord], batch_size
     ) -> list[ClassifiedAlert]:
         if self._sharded:
             size = self.batch_size if batch_size is _UNSET else (batch_size or 1)
-            parsed = self._timed_parse(records, size)
-            self._stats.records_parsed += len(parsed)
-            self._stats.templates_discovered = self.parser.template_count
-            closed: list[list[ParsedLog]] = []
-            for event in parsed:
-                closed.extend(self._push_sessionizer(event))
-            return self.score_sessions(closed) if closed else []
-        records = list(records)
-        if batch_size is _UNSET or batch_size is None:
-            parsed = self._timed_parse(records, None)
         else:
-            parsed = self._timed_parse(records, batch_size or None)
-        self._stats.records_parsed += len(parsed)
-        self._stats.templates_discovered = self.parser.template_count
-        alerts = []
-        for event in parsed:
-            for session in self._push_sessionizer(event):
-                alert = self._score_window(session)
-                if alert is not None:
-                    alerts.append(alert)
-        return alerts
+            # Single instance: unset and 0 both mean one amortized batch.
+            size = None if batch_size is _UNSET else (batch_size or None)
+        parsed = self._parse_batched(records, size)
+        return self._score_closed(self._sessionize(parsed))
 
     def flush(self) -> list[ClassifiedAlert]:
         """Close and score every open streaming session (shutdown)."""
         if self.sessionizer is None:
             return []
         closed = self.sessionizer.flush()
-        if self._tracer is None:
-            return self._score_closed(closed)
-        ctx = self._trace_begin("flush", 0)
-        try:
-            if ctx is not None:
-                ctx.annotate(sessions=len(closed))
+        with self._trace("flush", 0) as trace:
+            trace.annotate(sessions=len(closed))
             alerts = self._score_closed(closed)
-            if ctx is not None:
-                ctx.annotate(alerts=len(alerts))
-            return alerts
-        finally:
-            self._trace_end(ctx)
+            trace.annotate(alerts=len(alerts))
+        return alerts
 
     def _score_closed(
         self, closed: list[list[ParsedLog]]
     ) -> list[ClassifiedAlert]:
-        if self._sharded:
-            return self.score_sessions(closed) if closed else []
-        alerts = []
-        for session in closed:
-            alert = self._score_window(session)
-            if alert is not None:
-                alerts.append(alert)
-        return alerts
+        """Alerts for sessions a push (or the shutdown flush) closed;
+        an empty list scores nothing — no fan-out, no detect stage."""
+        return self.score_sessions(closed) if closed else []
 
     # -- lifecycle: ingestion ---------------------------------------------------
 
@@ -1223,7 +987,7 @@ class Pipeline:
             on_alert=on_alert,
             telemetry=self._telemetry,
             autoscale=self.autoscaler,
-            tracer=self._tracer,
+            tracer=self.tracer,
             health=self._health,
             probe_scope=self._probe_scope,
         )

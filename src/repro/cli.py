@@ -731,14 +731,14 @@ def _command_profile(args: argparse.Namespace) -> int:
             print(f"wrote collapsed stacks to {args.collapsed}",
                   file=sys.stderr)
         profile = pipeline.profile(limit=args.limit)
+        stats = profile["stats"]
         if args.json:
             print(json.dumps(profile, indent=2))
         else:
-            stats = profile["stats"]
             table = Table(
                 f"top {len(profile['hotspots'])} of {stats['stacks']} "
-                f"stacks ({stats['samples']} samples at "
-                f"{stats['hz']:g} Hz)",
+                f"stacks ({stats['samples']} samples, sampled at "
+                f"{stats['achieved_hz']:.0f} of {stats['hz']:g} Hz)",
                 ["samples", "share", "stack"],
             )
             for spot in profile["hotspots"]:
@@ -751,8 +751,16 @@ def _command_profile(args: argparse.Namespace) -> int:
                   file=sys.stderr)
         print(f"# {len(alerts)} alerts per pass over {args.live} "
               f"(x{args.repeat}); sampler overhead "
-              f"{profile['stats']['overhead_seconds']:.3f}s",
+              f"{stats['overhead_seconds']:.3f}s",
               file=sys.stderr)
+        if stats["achieved_hz"] < stats["hz"] / 2:
+            print(f"# warning: the sampler achieved "
+                  f"{stats['achieved_hz']:.0f} Hz of the requested "
+                  f"{stats['hz']:g} Hz (it waits for the interpreter lock "
+                  f"behind the pipeline's own threads): shares stay "
+                  f"proportional, but rank rare stacks from a longer run "
+                  f"(--repeat) rather than a higher --profile-hz",
+                  file=sys.stderr)
     return 0
 
 

@@ -6,8 +6,11 @@ never touch metric names.  Two integration styles, chosen per signal:
 
 * **push hooks** (``observe_*``) for the only things that must be
   measured in-band — stage latencies and batch sizes.  The pipeline
-  calls them *only when telemetry is enabled*; the disabled path costs
-  one ``is None`` check per batch.
+  never calls them itself: its one stage seam
+  (:class:`~repro.telemetry.stages.StageObservers`) reads the clock
+  around each stage and reports through :meth:`observe_stage`, one
+  histogram observation per finished stage.  A pipeline with nothing
+  attached gets a shared no-op handle per stage and reads no clock.
 * **pull collectors** (``attach_*``) for everything the runtime
   already counts — :class:`~repro.core.pipeline.PipelineStats`,
   :attr:`DistributedDrain.shard_loads`, the
@@ -71,7 +74,6 @@ class PipelineTelemetry:
         self._ingest = None
         self._autoscale = None
         self._tracer = None
-        self._profiler = None
         registry = self.registry
 
         # -- stage latencies and batch sizes (push) ----------------------------
@@ -84,7 +86,7 @@ class PipelineTelemetry:
             "Records per parse micro-batch", DEFAULT_SIZE_BUCKETS)
         self.detect_seconds = registry.histogram(
             "monilog_detect_seconds",
-            "Stage-2 detect+classify latency per scoring call (seconds)",
+            "Stage-2 detect latency per scoring call (seconds)",
             DEFAULT_LATENCY_BUCKETS)
         self.detect_batch_sessions = registry.histogram(
             "monilog_detect_batch_sessions",
@@ -267,8 +269,18 @@ class PipelineTelemetry:
         self.detect_seconds.observe(seconds)
         self.detect_batch_sessions.observe(sessions)
 
-    def observe_sessionize(self, seconds: float) -> None:
-        self.sessionize_seconds.observe(seconds)
+    def observe_stage(self, stage: str, seconds: float,
+                      attributes: dict) -> None:
+        """One finished pipeline stage = one latency observation,
+        sized by the stage's annotations (a single-window detect
+        annotates no ``sessions``: it scored one).  Stages without a
+        latency family (classify, fit) observe nothing."""
+        if stage == "parse":
+            self.observe_parse(attributes.get("records", 0), seconds)
+        elif stage == "detect":
+            self.observe_detect(attributes.get("sessions", 1), seconds)
+        elif stage == "sessionize":
+            self.sessionize_seconds.observe(seconds)
 
     def observe_ingest_batch(self, records: int) -> None:
         self.ingest_batch_records.observe(records)
@@ -421,20 +433,6 @@ class PipelineTelemetry:
             self.alert_provenance.set(len(tracer.alert_ids))
 
         self.registry.collect(collect)
-
-    def attach_profiler(self, profiler) -> None:
-        """Expose a :class:`~repro.telemetry.profiling.SamplingProfiler`.
-
-        Unlike every other family in the catalog, the
-        ``monilog_profile_*`` families are declared *here*, not in
-        ``__init__`` — a profiler-off pipeline must expose zero
-        profile families (absence is the "off" signal), so the
-        declaration rides with the attachment.  The profiler itself
-        guards re-attachment, matching the re-point contract of the
-        other ``attach_*`` methods.
-        """
-        self._profiler = profiler
-        profiler.attach(self.registry)
 
     def attach_autoscale(self, controller) -> None:
         """Mirror the controller's knob positions and tick count."""

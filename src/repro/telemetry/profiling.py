@@ -12,10 +12,11 @@ sampling design, built entirely from the stdlib:
   into one ``frame;frame;...`` string (root first — the flamegraph
   "collapsed stack" format, ``flamegraph.pl`` / speedscope ready);
 * each sample is attributed to the **pipeline stage** active on that
-  thread at that instant — the pipeline pushes ``(tenant, stage)``
-  markers around its stage hooks (the same seam the tracer's spans
-  wrap), so the profile answers "which *function*, inside which
-  *stage*, for which *tenant*" in one read;
+  thread at that instant — the pipeline's stage seam
+  (:mod:`repro.telemetry.stages`) pushes a ``(tenant, stage)`` marker
+  around every stage while a profiler is attached, so the profile
+  answers "which *function*, inside which *stage*, for which
+  *tenant*" in one read;
 * aggregation is a bounded ``stack -> count`` table: when the table is
   full a new stack evicts the current minimum-count entry (and the
   eviction is counted), so memory stays flat no matter how long the
@@ -24,14 +25,16 @@ sampling design, built entirely from the stdlib:
 The cost contract mirrors tracing's pay-for-what-you-use rule:
 
 * **profiler off** — the pipeline never constructs one, the stage
-  hooks cost one ``is None`` check, and no ``monilog_profile_*``
-  family exists in the registry;
+  seam pushes no markers, and no ``monilog_profile_*`` family exists
+  in the registry;
 * **profiler on** — the sampled threads pay *nothing* (sampling reads
   their frames from the outside); the only in-band cost is the stage
   markers (two GIL-atomic list ops per hook) and the sampler thread's
   own work, which it meters into
   ``monilog_profile_overhead_seconds_total`` so the profiler's cost is
-  itself a metric.
+  itself a metric — as is its fidelity: the sampler thread waits for
+  the interpreter lock behind CPU-bound threads, so ``stats()`` gives
+  the achieved rate beside the nominal one.
 
 Alerts are byte-identical with the profiler on or off, under every
 executor — the profiler reads frames and clocks, never pipeline state
@@ -137,6 +140,10 @@ class SamplingProfiler:
         self._samples = 0
         self._evictions = 0
         self._overhead = 0.0
+        # Fidelity: ticks taken over seconds spent running.
+        self._ticks = 0
+        self._ran_seconds = 0.0
+        self._started_at: float | None = None
         self._stop_event = threading.Event()
         self._thread: threading.Thread | None = None
         self._attached = False
@@ -162,6 +169,7 @@ class SamplingProfiler:
         self._stop_event = threading.Event()
         self._thread = threading.Thread(
             target=self._run, name="monilog-profiler", daemon=True)
+        self._started_at = time.perf_counter()
         self._thread.start()
         return self
 
@@ -173,6 +181,9 @@ class SamplingProfiler:
         self._stop_event.set()
         thread.join(timeout=5.0)
         self._thread = None
+        with self._lock:
+            self._ran_seconds += time.perf_counter() - self._started_at
+            self._started_at = None
 
     # -- the sampler loop --------------------------------------------------------
 
@@ -205,6 +216,7 @@ class SamplingProfiler:
         # Frames hold the sampled threads' locals alive; drop promptly.
         del frames
         with self._lock:
+            self._ticks += 1
             self._overhead += time.perf_counter() - started
 
     def _record_sample(self, stack: str, tenant: str, stage: str) -> None:
@@ -226,15 +238,20 @@ class SamplingProfiler:
     # -- exposition --------------------------------------------------------------
 
     def stats(self) -> dict:
-        """The profile's aggregate counters, JSON-ready."""
+        """The profile's aggregate counters, JSON-ready
+        (``achieved_hz``: ticks per second spent running)."""
         with self._lock:
             stage_samples = {
                 f"{tenant}/{stage}" if tenant else stage: count
                 for (tenant, stage), count in sorted(
                     self._stage_samples.items())
             }
+            ran = self._ran_seconds
+            if self._started_at is not None:
+                ran += time.perf_counter() - self._started_at
             return {
                 "hz": self.hz,
+                "achieved_hz": self._ticks / ran if ran > 0 else 0.0,
                 "running": self.running,
                 "samples": self._samples,
                 "stacks": len(self._stacks),

@@ -25,8 +25,9 @@ process-executor deepcopies of an instrumented pipeline share the
 original stores instead of cloning them.
 
 The strictly-pay-for-what-you-sample contract: with ``tracing = false``
-no ``Tracer`` exists and every hook site short-circuits on ``is None``;
-with tracing on, unsampled batches cost one lock-free-cheap counter
+no ``Tracer`` exists and the pipeline's stage seam
+(:mod:`repro.telemetry.stages`) opens no root trace and no span; with
+tracing on, unsampled batches cost one lock-free-cheap counter
 increment.  Alerts are byte-identical either way (bench_x14).
 """
 
@@ -344,7 +345,7 @@ class _SpanHandle:
 class TraceContext:
     """One sampled end-to-end trace: a root span plus its children.
 
-    Created by :meth:`Tracer.begin`; stage hooks open child spans via
+    Created by :meth:`Tracer.begin`; the stage seam opens child spans via
     :meth:`span` while the context is active on the pipeline.  A
     context is used by one thread at a time (the ingest loop builds it,
     then hands it to the executor thread through

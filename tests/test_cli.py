@@ -450,3 +450,23 @@ class TestServe:
         with pytest.raises(SystemExit, match="declared"):
             main(["stats", "--history", str(history), "--live", str(live),
                   "--spec", str(spec), "--tenant", "nope"])
+
+
+class TestProfile:
+    def test_reports_achieved_rate_and_warns_on_shortfall(
+            self, corpus_file, capsys):
+        """The table says what rate it was actually sampled at, and a
+        rate the sampler cannot reach (10 kHz against a busy
+        interpreter) is called out instead of silently under-run."""
+        path, _ = corpus_file
+        capsys.readouterr()
+        assert main([
+            "profile", "--history", str(path), "--live", str(path),
+            "--detector", "keyword", "--profile-hz", "10000",
+            "--repeat", "2", "--limit", "3",
+        ]) == 0
+        captured = capsys.readouterr()
+        title = re.search(r"sampled at (\d+) of 10000 Hz", captured.out)
+        assert title, captured.out
+        assert int(title.group(1)) < 5000
+        assert "warning: the sampler achieved" in captured.err
