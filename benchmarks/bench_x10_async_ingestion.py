@@ -33,9 +33,9 @@ import time
 
 from conftest import once
 from repro.api import Pipeline, PipelineSpec
-from repro.core.config import IngestConfig
 from repro.eval import Table
 from repro.ingest import FileTailSource, IngestService
+from repro.ingest.service import IngestConfig
 from repro.logs.formats import read_log_lines, render_line
 from repro.logs.record import LogRecord, Severity
 from repro.logs.sources import ReplaySource

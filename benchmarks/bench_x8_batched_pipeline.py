@@ -2,7 +2,7 @@
 
 The paper's real-time requirement means the pipeline must keep up with
 cloud-scale traffic; this bench quantifies the batched fast path
-(two-tier template cache + ``parse_batch`` / ``process_batch``) against
+(two-tier template cache + ``parse_batch`` / ``Pipeline.process``) against
 the per-record baseline on a repetitive 50k-line synthetic stream —
 the regime the cache is built for, since real log traffic re-emits a
 small statement vocabulary and whole lines verbatim (heartbeats,
@@ -183,7 +183,7 @@ def bench_x8_pipeline_batched(benchmark, emit, snapshot):
     )
     table.add_row("run_all (per-record)", f"{per_record_s:.3f}",
                   f"{len(live) / per_record_s:,.0f}", len(expected), "1.00x")
-    table.add_row("process_batch(2048)", f"{batched_s:.3f}",
+    table.add_row("process(2048)", f"{batched_s:.3f}",
                   f"{len(live) / batched_s:,.0f}", len(actual),
                   f"{speedup:.2f}x")
     emit()

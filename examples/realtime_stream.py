@@ -1,6 +1,6 @@
 """Real-time monitoring: alerts emitted while the stream flows.
 
-The batch API (`MoniLog.run`) scores sessions after the stream ends;
+The offline API (`Pipeline.run_offline`) scores sessions after the stream ends;
 a production MoniLog must page the on-call team the moment an
 anomalous session goes quiet.  This example drives a streaming-mode
 :class:`~repro.api.pipeline.Pipeline` record by record and reports

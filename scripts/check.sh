@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# One-command gate for builders: the tier-1 test suite (three times:
-# serial, with DeprecationWarning-as-error so internal code never
-# calls the legacy facade shims, and under threaded shard execution)
-# plus seconds-scale smoke runs of the Fig. 1 pipeline bench, the X9
+# One-command gate for builders: the tier-1 test suite (twice: serial
+# and under threaded shard execution; pyproject.toml turns every
+# DeprecationWarning into a failure in both) plus seconds-scale smoke
+# runs of the Fig. 1 pipeline bench, the X9
 # parallel-shards bench, the X10 async-ingestion bench, the X11
 # autoscale-convergence bench, the X12 elastic-resharding bench, the
 # X13 multi-tenant-gateway bench, the X14 tracing-overhead bench, the
@@ -40,19 +40,21 @@
 # path, the sharded runtime, the >=1.5x concurrent-shard throughput
 # claim, and X10's >=2x concurrent-ingestion claim with byte-identical
 # alerts.
+#
+# A green run leaves the working tree as it found it: the bench smokes
+# append to a temporary copy of benchmarks/results/TRAJECTORY.jsonl
+# (MONILOG_BENCH_TRAJECTORY, honoured by benchmarks/conftest.py), the
+# trajectory gate reads that copy, and the last step fails if
+# `git status --porcelain` differs from what it was at the start.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
+tree_before="$(git status --porcelain 2> /dev/null || true)"
+spec_tmp="$(mktemp -d)"
+trap 'rm -rf "$spec_tmp"' EXIT
 
 echo "== tier-1: python -m pytest -x -q =="
 python -m pytest -x -q "$@"
-
-echo
-echo "== tier-1 with DeprecationWarning as error (no internal shim use) =="
-# The four legacy facades are deprecated shims over repro.api.Pipeline;
-# internal code and tests must construct through the new API (tests
-# that cover the shims themselves catch the warning via pytest.warns).
-python -m pytest -x -q -W error::DeprecationWarning "$@"
 
 echo
 echo "== tier-1 under the threaded executor: MONILOG_EXECUTOR=thread =="
@@ -69,6 +71,10 @@ if [ "$#" -gt 0 ]; then
         tests/test_ingest_merge.py tests/test_ingest_sources.py \
         tests/test_ingest_service.py tests/test_ingest_failures.py
 fi
+
+trajectory="$spec_tmp/TRAJECTORY.jsonl"
+cp benchmarks/results/TRAJECTORY.jsonl "$trajectory"
+export MONILOG_BENCH_TRAJECTORY="$trajectory"
 
 echo
 echo "== smoke: benchmarks/bench_fig1_pipeline.py =="
@@ -208,17 +214,18 @@ echo
 echo "== smoke: benchmarks/e2e/run.py --smoke (bytes in -> alerts out) =="
 python3 benchmarks/e2e/run.py --smoke
 
-# The bench smokes above appended their headline numbers to the
-# perf-trajectory ledger; validate every line against the shared
+# The bench smokes above appended their headline numbers to the copy
+# of the perf-trajectory ledger; validate every line against the shared
 # schema, prove the regression gate can fire (self-test synthesizes a
 # regression in a scratch ledger and demands a non-zero exit), then
-# gate the real ledger: the latest entry of each bench against the
+# gate the copy: the latest entry of each bench against the
 # median of its own history, per-metric, within tolerance bands.
 echo
 echo "== perf trajectory: schema + self-test + regression gate =="
 python -c '
+import os
 from repro.perf.trajectory import load_entries
-entries = load_entries("benchmarks/results/TRAJECTORY.jsonl")
+entries = load_entries(os.environ["MONILOG_BENCH_TRAJECTORY"])
 assert entries, "the bench smokes appended no trajectory entries"
 for entry in entries:  # load_entries schema-checks; assert the shape
     assert isinstance(entry["bench"], str) and entry["bench"]
@@ -231,12 +238,10 @@ benches = {entry["bench"] for entry in entries}
 print(f"TRAJECTORY.jsonl well-formed: {len(entries)} entries, "
       f"{len(benches)} benches")'
 python scripts/perf_diff.py --self-test
-python scripts/perf_diff.py
+python scripts/perf_diff.py --trajectory "$trajectory"
 
 echo
 echo "== smoke: repro pipeline --spec examples/pipeline.toml =="
-spec_tmp="$(mktemp -d)"
-trap 'rm -rf "$spec_tmp"' EXIT
 python -m repro generate --dataset cloud --sessions 60 --anomaly-rate 0.0 \
     --seed 1 --output "$spec_tmp/history.log" > /dev/null
 python -m repro generate --dataset cloud --sessions 30 --anomaly-rate 0.1 \
@@ -538,6 +543,16 @@ TOML
 else
     echo "openssl not on PATH; skipping the TLS serve smoke"
 fi
+
+echo
+echo "== the working tree is unchanged by this run =="
+tree_after="$(git status --porcelain 2> /dev/null || true)"
+if [ "$tree_after" != "$tree_before" ]; then
+    echo "check.sh changed the working tree:"
+    diff <(echo "$tree_before") <(echo "$tree_after") || true
+    exit 1
+fi
+echo "git status unchanged"
 
 echo
 echo "check.sh: all gates passed"

@@ -19,28 +19,21 @@ Quickstart::
         print(alert.report.summary(), "->", alert.pool, alert.criticality)
 
 Subpackages: :mod:`repro.api` (component registry, PipelineSpec, and
-the unified Pipeline facade), :mod:`repro.logs` (data model &
-streams), :mod:`repro.datasets` (ground-truthed generators),
+the Pipeline facade), :mod:`repro.logs` (data model & streams),
+:mod:`repro.datasets` (ground-truthed generators),
 :mod:`repro.parsing` (9 template miners + distribution),
 :mod:`repro.nn` (numpy LSTM stack), :mod:`repro.detection`
 (detectors), :mod:`repro.classify` (pool system & passive learning),
-:mod:`repro.metrics`, :mod:`repro.core` (pipeline runtime),
-:mod:`repro.ingest` (async live ingestion), :mod:`repro.telemetry`
-(runtime metrics + Prometheus/JSON exposition), :mod:`repro.autoscale`
-(adaptive batch/credit control), :mod:`repro.eval`.
-
-The legacy facades (``MoniLog``, ``ShardedMoniLog``, and the streaming
-variants) remain importable as deprecated shims delegating to
-``Pipeline``; see ``docs/api.md`` for the migration table.
+:mod:`repro.metrics`, :mod:`repro.core` (executors, streaming
+sessionizer, calibration), :mod:`repro.ingest` (async live ingestion),
+:mod:`repro.telemetry` (runtime metrics + Prometheus/JSON exposition),
+:mod:`repro.autoscale` (adaptive batch/credit control),
+:mod:`repro.eval`.
 """
 
-from repro.api.pipeline import Pipeline
+from repro.api.pipeline import Pipeline, PipelineStats
 from repro.api.spec import PipelineSpec
-from repro.core.config import IngestConfig, MoniLogConfig
-from repro.core.pipeline import MoniLog, PipelineStats
-from repro.core.distributed import ShardedMoniLog
 from repro.core.reports import AnomalyReport, ClassifiedAlert
-from repro.core.streaming import StreamingShardedMoniLog
 
 __version__ = "1.0.0"
 
@@ -48,12 +41,18 @@ __all__ = [
     "AnomalyReport",
     "ClassifiedAlert",
     "IngestConfig",
-    "MoniLog",
-    "MoniLogConfig",
     "Pipeline",
     "PipelineSpec",
     "PipelineStats",
-    "ShardedMoniLog",
-    "StreamingShardedMoniLog",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # Resolved on first use so ``import repro`` does not pay for the
+    # asyncio ingestion stack.
+    if name == "IngestConfig":
+        from repro.ingest.service import IngestConfig
+
+        return IngestConfig
+    raise AttributeError(f"module 'repro' has no attribute {name!r}")

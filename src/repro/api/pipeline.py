@@ -1,11 +1,7 @@
 """`Pipeline`: the one composable facade behind every MoniLog entry point.
 
-Historically the reproduction had four hand-rolled pipeline variants —
-``MoniLog`` (offline, single instance), ``StreamingMoniLog`` (record at
-a time), ``ShardedMoniLog`` (concurrent shards), and
-``StreamingShardedMoniLog`` (both) — plus the ingestion service, each
-re-implementing train/score/drain orchestration.  :class:`Pipeline`
-replaces all four behind **one uniform lifecycle**:
+The paper's Fig. 1 system — structure the log stream, detect anomalous
+sequences, classify alerts — behind **one uniform lifecycle**:
 
     spec = PipelineSpec(detector="deeplog", shards=4, executor="thread")
     with Pipeline.from_spec(spec) as pipeline:
@@ -20,21 +16,19 @@ replaces all four behind **one uniform lifecycle**:
                 page_someone(alert)
         live_pipeline.flush()
 
-Internally the builder composes sharding (``spec.shards``), batching
+The builder composes sharding (``spec.shards``), batching
 (``spec.batch_size``), streaming (``spec.streaming`` or
 :meth:`stream`), and ingestion (:meth:`serve` /
 :class:`~repro.ingest.service.IngestService`, which accepts a
-``Pipeline`` directly) from registry-resolved components — instead of
-four class variants duplicating the flow.  The composition preserves
-the legacy facades' semantics *exactly*: a ``Pipeline`` built from the
-equivalent spec produces byte-identical alerts, in identical order, to
-each legacy facade (proven by ``tests/test_api_parity.py``), which is
-what lets those facades survive as thin deprecated shims.
+``Pipeline`` directly) from registry-resolved components.  Sharded
+pipelines partition work here too: parser shards route by source
+(:class:`~repro.parsing.distributed.DistributedDrain`), detector shards
+route by session-id hash (:func:`_shard_of`) so sequence models stay
+correct, and all merging happens deterministically on the caller's
+thread.
 
 Output does not depend on the executor, the batch size, or
-batch-vs-streaming operation (beyond which windows have closed) — the
-invariants the legacy classes established, inherited wholesale because
-this class *is* their code, merged.
+batch-vs-streaming operation (beyond which windows have closed).
 
 Each stage's work call is written once, inside ``with
 self._stage("parse") as stage:``; the one instrumentation seam
@@ -50,7 +44,9 @@ after construction.
 from __future__ import annotations
 
 import copy
+import zlib
 from collections.abc import Iterable, Iterator
+from dataclasses import dataclass
 from os import PathLike
 
 from repro.api.registry import REGISTRY
@@ -59,14 +55,7 @@ from repro.autoscale.controller import AutoscaleController
 from repro.classify.classifier import AnomalyClassifier
 from repro.classify.pools import PoolManager
 from repro.core.calibration import DEFAULT_GRIDS, AutoCalibrator
-from repro.core.distributed import (
-    _detect_shard,
-    _fit_shard,
-    _sessions_by_key,
-    _shard_of,
-)
 from repro.core.executors import ShardExecutor, resolve_executor
-from repro.core.pipeline import PipelineStats
 from repro.core.reports import AnomalyReport, ClassifiedAlert
 from repro.core.streaming import BatchHandoff, StreamingSessionizer
 from repro.detection.base import DetectionResult, Detector
@@ -86,6 +75,64 @@ from repro.telemetry.tracing import AlertProvenance, HealthMonitor, Tracer
 #: Distinguishes "caller said nothing" from an explicit ``None``
 #: (= one batch for the whole list) in :meth:`Pipeline.process`.
 _UNSET = object()
+
+
+@dataclass
+class PipelineStats:
+    """Counters the pipeline keeps while running (Fig. 1 bench rows)."""
+
+    records_parsed: int = 0
+    #: Current size of the parser's template inventory.  Refreshed by
+    #: every parsing path — training *and* inference — so templates
+    #: discovered online during ``run``/``process``/streaming
+    #: operation show up here, not just the training-time count.
+    templates_discovered: int = 0
+    windows_scored: int = 0
+    anomalies_detected: int = 0
+    alerts_classified: int = 0
+
+
+def _shard_of(session_id: str, shards: int) -> int:
+    """The detector shard a session routes to (stable across runs)."""
+    return zlib.crc32(session_id.encode("utf-8")) % shards
+
+
+def _sessions_by_key(parsed: Iterable[ParsedLog]) -> dict[str, list[ParsedLog]]:
+    """Group events by windowing key, in delivery order.
+
+    The sharded runtime's batch equivalent of the streaming
+    sessionizer's bucketing: unsessioned events split into per-source
+    pseudo-sessions (one per ``windowing_key``), never into a single
+    catch-all, so every window's events all carry the key it routes
+    by and batch and streaming operation train/score the same shards.
+    For fully-sessioned streams this is exactly
+    :func:`~repro.detection.windows.sessions_from_parsed`.
+    """
+    sessions: dict[str, list[ParsedLog]] = {}
+    for event in parsed:
+        sessions.setdefault(event.windowing_key, []).append(event)
+    return sessions
+
+
+def _fit_shard(task: tuple[Detector, list[list[ParsedLog]]]) -> Detector:
+    """Fit one detector shard on its partition (executor task shape).
+
+    Returns the fitted detector so the caller can reinstall it — the
+    same object under in-memory executors, the fitted copy from the
+    worker under the process executor.  Module-level so the process
+    executor can pickle a reference to it.
+    """
+    detector, partition = task
+    detector.fit(partition)
+    return detector
+
+
+def _detect_shard(
+    task: tuple[Detector, list[list[ParsedLog]]],
+) -> list[DetectionResult]:
+    """Score one detector shard's sessions, in their given order."""
+    detector, sessions = task
+    return [detector.detect(events) for events in sessions]
 
 
 class Pipeline:
@@ -251,8 +298,8 @@ class Pipeline:
 
     def _default_detector_factory(self, shard: int) -> Detector:
         """One detector per shard; seed-accepting detectors get their
-        shard index as the seed (decorrelated replicas, the legacy
-        sharded default) unless the spec pins one."""
+        shard index as the seed (decorrelated replicas) unless the spec
+        pins one."""
         options = dict(self.spec.detector_options)
         entry = REGISTRY.get("detector", self.spec.detector)
         if "seed" in entry.signature.parameters and "seed" not in options:
@@ -860,14 +907,6 @@ class Pipeline:
             parsed = self._parse_batched(records, batch_size)
         return self.score_sessions(self._window(parsed))
 
-    def process_batch(
-        self,
-        records: Iterable[LogRecord],
-        batch_size: "int | None" = _UNSET,
-    ) -> list[ClassifiedAlert]:
-        """Alias of :meth:`process` (the hand-off protocol's spelling)."""
-        return self.process(records, batch_size)
-
     # -- lifecycle: streaming ---------------------------------------------------
 
     def stream(
@@ -888,9 +927,7 @@ class Pipeline:
         scores through.
 
         Re-arming replaces the sessionizer: any sessions still open are
-        discarded unscored (call :meth:`flush` first to score them) —
-        the semantics of constructing a fresh streaming facade, which
-        is what the legacy shims do.
+        discarded unscored (call :meth:`flush` first to score them).
         """
         self.sessionizer = StreamingSessionizer(
             session_timeout=session_timeout

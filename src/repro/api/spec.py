@@ -2,8 +2,7 @@
 
 A spec names the components (by their registry names) and the knobs of
 an end-to-end pipeline — parsing, windowing, detection, scale-out,
-streaming, and ingestion — in one flat dataclass, superseding the
-``MoniLogConfig`` + ``IngestConfig`` split the legacy facades took.
+streaming, and ingestion — in one flat dataclass.
 :class:`~repro.api.pipeline.Pipeline` builds the whole runtime from a
 spec; the CLI maps its flags 1:1 onto spec fields.
 
@@ -37,12 +36,14 @@ import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.api.registry import REGISTRY
-from repro.core.config import IngestConfig, MoniLogConfig
 from repro.core.executors import default_executor_name
 from repro.core.validation import ConfigError, Validator
+
+if TYPE_CHECKING:
+    from repro.ingest.service import IngestConfig
 
 #: Environment-variable prefix of :meth:`PipelineSpec.with_env`.
 ENV_PREFIX = "MONILOG_"
@@ -83,8 +84,8 @@ class PipelineSpec:
         detector / detector_options: stage-2 anomaly detector.  In a
             sharded pipeline each detector shard gets its own instance;
             a constructor that accepts ``seed`` (and has no pinned
-            ``seed`` option) receives ``seed=<shard index>``, matching
-            the legacy default of per-shard DeepLog seeds.
+            ``seed`` option) receives ``seed=<shard index>``, so the
+            default sharded detectors are DeepLogs seeded 0, 1, 2, ...
         shards: parser shards; 0 = single-instance pipeline.  The
             *initial* count — ``Pipeline.reshard`` (or the autoscaler,
             with ``[autoscale] reshard = true``) resizes it live;
@@ -101,7 +102,7 @@ class PipelineSpec:
             windowing knobs.
         ingest_batch_size / max_batch_age / lateness / credits /
             poll_interval: async ingestion front-end knobs (see
-            :class:`~repro.core.config.IngestConfig`).
+            :class:`~repro.ingest.service.IngestConfig`).
         checkpoint: offset checkpoint file path for ingestion resume.
         history: optional path of a training corpus; ``repro serve``
             (and ``repro stats`` without an explicit ``--history``)
@@ -453,50 +454,11 @@ class PipelineSpec:
             raise ConfigError(type(self).__name__, errors)
         return self.replace(**overrides) if overrides else self
 
-    # -- bridges to the legacy config objects -----------------------------------
-
-    @classmethod
-    def from_config(cls, config: MoniLogConfig | None = None,
-                    ingest: IngestConfig | None = None,
-                    **overrides: Any) -> "PipelineSpec":
-        """The spec equivalent of a legacy config pair (shim bridge)."""
-        config = config or MoniLogConfig()
-        fields: dict[str, Any] = dict(
-            masking=config.use_masking,
-            extract_structured=config.extract_structured,
-            auto_calibrate=config.auto_calibrate,
-            calibration_sample=config.calibration_sample,
-            windowing=config.windowing,
-            window_size=config.window_size,
-            min_window_events=config.min_window_events,
-            executor=config.executor,
-        )
-        if ingest is not None:
-            fields.update(
-                ingest_batch_size=ingest.batch_size,
-                max_batch_age=ingest.max_batch_age,
-                lateness=ingest.lateness,
-                credits=ingest.credits,
-                poll_interval=ingest.poll_interval,
-            )
-        fields.update(overrides)
-        return cls(**fields)
-
-    def monilog_config(self) -> MoniLogConfig:
-        """The legacy pipeline-config view of this spec."""
-        return MoniLogConfig(
-            windowing=self.windowing,
-            window_size=self.window_size,
-            extract_structured=self.extract_structured,
-            use_masking=self.masking,
-            auto_calibrate=self.auto_calibrate,
-            calibration_sample=self.calibration_sample,
-            min_window_events=self.min_window_events,
-            executor=self.executor,
-        )
-
     def ingest_config(self) -> IngestConfig:
-        """The ingestion front-end knobs as an :class:`IngestConfig`."""
+        """The ingestion front-end knobs as an
+        :class:`~repro.ingest.service.IngestConfig`."""
+        from repro.ingest.service import IngestConfig
+
         return IngestConfig(
             batch_size=self.ingest_batch_size,
             max_batch_age=self.max_batch_age,

@@ -1,20 +1,19 @@
-"""MoniLog core: the end-to-end pipeline and its runtime concerns.
+"""MoniLog core: the runtime pieces the pipeline composes.
 
 * :mod:`repro.core.reports` — anomaly reports and classified alerts,
   the data flowing between stages 2 and 3.
-* :mod:`repro.core.config` — pipeline configuration.
-* :mod:`repro.core.pipeline` — :class:`MoniLog`, the three-stage
-  system of Fig. 1.
-* :mod:`repro.core.distributed` — the sharded runtime running each
-  stage's shards concurrently (paper §II).
 * :mod:`repro.core.executors` — pluggable shard executors (serial /
-  thread pool / process pool) behind the sharded runtimes.
+  thread pool / process pool) behind sharded pipelines.
+* :mod:`repro.core.streaming` — the incremental session windower and
+  the ingestion hand-off point.
 * :mod:`repro.core.calibration` — unsupervised auto-parametrization of
   parsers (paper §IV's acquire → calibrate → parse flow).
+* :mod:`repro.core.validation` — aggregated, field-named config errors.
+
+The pipeline itself is :class:`repro.api.pipeline.Pipeline`.
 """
 
 from repro.core.reports import AnomalyReport, ClassifiedAlert
-from repro.core.config import MoniLogConfig
 from repro.core.executors import (
     EXECUTORS,
     ProcessExecutor,
@@ -23,14 +22,8 @@ from repro.core.executors import (
     ThreadedExecutor,
     resolve_executor,
 )
-from repro.core.pipeline import MoniLog
-from repro.core.distributed import ShardedMoniLog
 from repro.core.calibration import AutoCalibrator, CalibrationResult
-from repro.core.streaming import (
-    StreamingMoniLog,
-    StreamingSessionizer,
-    StreamingShardedMoniLog,
-)
+from repro.core.streaming import StreamingSessionizer
 
 __all__ = [
     "AnomalyReport",
@@ -38,15 +31,10 @@ __all__ = [
     "CalibrationResult",
     "ClassifiedAlert",
     "EXECUTORS",
-    "MoniLog",
-    "MoniLogConfig",
     "ProcessExecutor",
     "SerialExecutor",
     "ShardExecutor",
-    "ShardedMoniLog",
-    "StreamingMoniLog",
     "StreamingSessionizer",
-    "StreamingShardedMoniLog",
     "ThreadedExecutor",
     "resolve_executor",
 ]

@@ -1,6 +1,6 @@
 """Pluggable shard executors: how concurrent shard work actually runs.
 
-The sharded runtime (:class:`~repro.core.distributed.ShardedMoniLog`,
+The sharded runtime (a sharded :class:`~repro.api.pipeline.Pipeline`,
 :class:`~repro.parsing.distributed.DistributedDrain`) routes work to
 shards; *this* module decides how the per-shard tasks execute:
 
@@ -32,7 +32,7 @@ clone a thread pool) and pickling reduces to the executor's name.
 
 Selection: pass an instance or a name (``"serial"``, ``"thread"``,
 ``"process"``) to the runtime constructors, set
-``MoniLogConfig.executor``, or export ``MONILOG_EXECUTOR`` — the
+``PipelineSpec.executor``, or export ``MONILOG_EXECUTOR`` — the
 environment variable is the suite-wide equivalent of the CLI's
 ``--executor`` flag and is how ``scripts/check.sh`` re-runs the tier-1
 tests under the threaded executor.

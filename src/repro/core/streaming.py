@@ -1,6 +1,4 @@
-"""Real-time streaming runtime: record in, alerts out.
-
-Two durable pieces live here:
+"""Streaming building blocks shared by the pipeline and ingestion.
 
 * :class:`StreamingSessionizer` — incremental session windowing with
   an idle timeout: a session closes (and is released downstream) when
@@ -13,28 +11,16 @@ Two durable pieces live here:
   asynchronous ingestion front-end (:mod:`repro.ingest`) and any
   streaming pipeline, with a live queue-depth signal the front-end's
   credit-based back-pressure keys off.
-
-The two facades that used to orchestrate streaming —
-:class:`StreamingMoniLog` and :class:`StreamingShardedMoniLog` — are
-now thin deprecated shims: the unified ``Pipeline`` provides the same
-record-at-a-time operation (``spec.streaming=True`` or
-``pipeline.stream()``), with byte-identical alerts in identical order
-(report numbering and the fallback window ids of unsessioned bursts
-come from the same scoring routine as the batch paths, by
-construction).
 """
 
 from __future__ import annotations
 
 import threading
 import time
-import warnings
 from collections import OrderedDict
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 
 from repro.api.registry import register_component
-from repro.core.distributed import ShardedMoniLog
-from repro.core.pipeline import MoniLog
 from repro.core.reports import ClassifiedAlert
 from repro.logs.record import LogRecord, ParsedLog
 
@@ -137,133 +123,14 @@ class StreamingSessionizer:
         return remaining
 
 
-def _streaming_shim_warning(old: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; build a repro.api.Pipeline with "
-        "spec.streaming=True (or call pipeline.stream()) instead "
-        "(see docs/api.md)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-class StreamingMoniLog:
-    """Deprecated shim: record-at-a-time facade over a trained system.
-
-    Equivalent: a :class:`~repro.api.pipeline.Pipeline` with
-    ``spec.streaming=True`` (or ``pipeline.stream()`` after fitting).
-    The shim arms streaming mode on the wrapped system's underlying
-    pipeline, so report numbering continues seamlessly across the
-    wrapped system's batch and streaming operation — exactly the
-    legacy behavior.
-    """
-
-    def __init__(
-        self,
-        system: MoniLog,
-        session_timeout: float = 30.0,
-        max_session_events: int = 1000,
-    ) -> None:
-        _streaming_shim_warning("StreamingMoniLog")
-        if not system._trained:
-            raise RuntimeError(
-                "StreamingMoniLog wraps a trained MoniLog; call train() first"
-            )
-        self.system = system
-        self._pipeline = system._pipeline
-        self._pipeline.stream(
-            session_timeout=session_timeout,
-            max_session_events=max_session_events,
-        )
-
-    @property
-    def sessionizer(self) -> StreamingSessionizer:
-        return self._pipeline.sessionizer
-
-    def process(self, record: LogRecord) -> list[ClassifiedAlert]:
-        """Feed one record; return alerts for sessions it closed."""
-        return self._pipeline.process_record(record)
-
-    def process_batch(self, records: Iterable[LogRecord]) -> list[ClassifiedAlert]:
-        """Feed a micro-batch; return alerts for sessions it closed."""
-        return self._pipeline.process(records, batch_size=None)
-
-    def process_stream(
-        self, records: Iterable[LogRecord]
-    ) -> Iterator[ClassifiedAlert]:
-        """Generator form of :meth:`process` + terminal :meth:`flush`."""
-        return self._pipeline.run(records)
-
-    def flush(self) -> list[ClassifiedAlert]:
-        """Close all open sessions and score them (stream shutdown)."""
-        return self._pipeline.flush()
-
-
-class StreamingShardedMoniLog:
-    """Deprecated shim: record-at-a-time facade over a trained
-    :class:`~repro.core.distributed.ShardedMoniLog`.
-
-    Equivalent: a sharded :class:`~repro.api.pipeline.Pipeline`
-    (``spec.shards > 0``) with streaming armed.  Micro-batches parse
-    across the parser shards concurrently and closed sessions score
-    across the detector shards concurrently; alert identity and order
-    stay executor-independent.
-    """
-
-    def __init__(
-        self,
-        system: ShardedMoniLog,
-        session_timeout: float = 30.0,
-        max_session_events: int = 1000,
-        batch_size: int | None = None,
-    ) -> None:
-        _streaming_shim_warning("StreamingShardedMoniLog")
-        if not system._trained:
-            raise RuntimeError(
-                "StreamingShardedMoniLog wraps a trained ShardedMoniLog; "
-                "call train() first"
-            )
-        if batch_size is not None and batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        self.system = system
-        self.batch_size = batch_size or system.batch_size
-        self._pipeline = system._pipeline
-        self._pipeline.stream(
-            session_timeout=session_timeout,
-            max_session_events=max_session_events,
-        )
-
-    @property
-    def sessionizer(self) -> StreamingSessionizer:
-        return self._pipeline.sessionizer
-
-    def process(self, record: LogRecord) -> list[ClassifiedAlert]:
-        """Feed one record; return alerts for sessions it closed."""
-        return self._pipeline.process_record(record)
-
-    def process_batch(self, records: Iterable[LogRecord]) -> list[ClassifiedAlert]:
-        """Feed a micro-batch; return alerts for sessions it closed."""
-        return self._pipeline.process(records, batch_size=self.batch_size)
-
-    def process_stream(
-        self, records: Iterable[LogRecord]
-    ) -> Iterator[ClassifiedAlert]:
-        """Generator form of :meth:`process` + terminal :meth:`flush`."""
-        return self._pipeline.run(records)
-
-    def flush(self) -> list[ClassifiedAlert]:
-        """Close all open sessions and score them (stream shutdown)."""
-        return self._pipeline.flush()
-
-
 class BatchHandoff:
     """Hand micro-batches to a streaming pipeline; expose queue depth.
 
     The async ingestion service scores off the event loop: batches are
     submitted from executor threads while readers keep filling buffers
     on the loop.  This class is the boundary object between the two
-    worlds.  It delegates to the wrapped pipeline's ``process_batch``
-    (or ``process``) and ``flush`` and maintains a **depth signal** —
+    worlds.  It delegates to the wrapped pipeline's ``process`` and
+    ``flush`` and maintains a **depth signal** —
     records submitted but not yet fully processed — that producers
     read to decide how hard to push (the credit gate sizes itself
     against exactly this window).
@@ -277,15 +144,13 @@ class BatchHandoff:
 
     def __init__(self, pipeline) -> None:
         self.pipeline = pipeline
-        submit = getattr(pipeline, "process_batch", None)
-        self._submit = submit if submit is not None else pipeline.process
         self._lock = threading.Lock()
         self._depth = 0
         self._in_flight = 0
         self.peak_depth = 0
         self.batches = 0
         self.records = 0
-        #: Seconds spent inside ``process_batch`` (cumulative) and the
+        #: Seconds spent inside ``process`` (cumulative) and the
         #: last batch's duration — the per-batch latency signal the
         #: autoscale controller sizes micro-batches from.
         self.busy_seconds = 0.0
@@ -298,7 +163,7 @@ class BatchHandoff:
 
     @property
     def in_flight(self) -> int:
-        """Batches currently inside ``process_batch``."""
+        """Batches currently inside ``process``."""
         return self._in_flight
 
     def submit(self, records: Iterable[LogRecord]) -> list[ClassifiedAlert]:
@@ -310,7 +175,9 @@ class BatchHandoff:
             self.peak_depth = max(self.peak_depth, self._depth)
         started = time.perf_counter()
         try:
-            return self._submit(records)
+            # Looked up per batch, so a ``process`` patched onto the
+            # pipeline after construction still sees every batch.
+            return self.pipeline.process(records)
         finally:
             elapsed = time.perf_counter() - started
             with self._lock:

@@ -1,8 +1,7 @@
 """Aggregated configuration validation.
 
-Config objects (:class:`~repro.core.config.MoniLogConfig`,
-:class:`~repro.core.config.IngestConfig`,
-:class:`~repro.api.spec.PipelineSpec`) validate *all* of their knobs
+Config objects (:class:`~repro.api.spec.PipelineSpec`,
+:class:`~repro.ingest.service.IngestConfig`) validate *all* of their knobs
 and report every problem in one exception, each line naming the field
 — an operator fixing a spec file should see the whole damage at once,
 not play whack-a-mole with first-failure errors.

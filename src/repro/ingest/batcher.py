@@ -1,7 +1,7 @@
 """Micro-batch assembly: flush on size *or* age, whichever hits first.
 
 The streaming pipeline's amortized entry point is
-``process_batch(records)`` — per-record hand-off would forfeit the
+``process(records)`` — per-record hand-off would forfeit the
 template cache and intra-batch dedup that make the parse stage cheap.
 But a live stream cannot wait for a full batch either: a trickle
 source would sit on its records indefinitely.  :class:`MicroBatcher`

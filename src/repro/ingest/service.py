@@ -32,9 +32,9 @@ import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
-from repro.core.config import IngestConfig
 from repro.core.reports import ClassifiedAlert
 from repro.core.streaming import BatchHandoff
+from repro.core.validation import Validator
 from repro.ingest.backpressure import CreditGate
 from repro.ingest.batcher import MicroBatcher
 from repro.ingest.checkpoint import (
@@ -49,6 +49,51 @@ from repro.telemetry.metrics import RateMeter
 #: Sliding-window width (seconds) of the per-source arrival meters
 #: when no telemetry config supplies one.
 _DEFAULT_RATE_WINDOW = 5.0
+
+
+@dataclass
+class IngestConfig:
+    """Knobs of the async ingestion front-end.
+
+    Attributes:
+        batch_size: records per micro-batch handed to the pipeline's
+            ``process``; a batch also flushes early when it ages out.
+        max_batch_age: seconds of wall clock a non-empty batch may wait
+            before flushing regardless of size — the latency bound a
+            trickle source gets.
+        lateness: out-of-order tolerance of the live k-way merge, in
+            seconds of *event* time: arrival skew between sources up
+            to this budget is reordered into exact timestamp order;
+            later arrivals are counted late and delivered immediately
+            (never dropped).
+        credits: total records allowed in flight between the source
+            readers and the pipeline (merge buffer + open batch +
+            queued work).  When exhausted, readers block — the
+            back-pressure that stops fast sources from overrunning a
+            slow consumer.
+        poll_interval: idle-poll cadence for file tails, and the
+            service's watchdog cadence for age flushes.
+    """
+
+    batch_size: int = 256
+    max_batch_age: float = 0.25
+    lateness: float = 0.5
+    credits: int = 4096
+    poll_interval: float = 0.05
+
+    def __post_init__(self) -> None:
+        check = Validator(type(self).__name__)
+        check.require(self.batch_size >= 1, "batch_size",
+                      f"must be >= 1, got {self.batch_size}")
+        check.require(self.max_batch_age > 0, "max_batch_age",
+                      f"must be > 0, got {self.max_batch_age}")
+        check.require(self.lateness >= 0, "lateness",
+                      f"must be >= 0, got {self.lateness}")
+        check.require(self.credits >= 1, "credits",
+                      f"must be >= 1, got {self.credits}")
+        check.require(self.poll_interval > 0, "poll_interval",
+                      f"must be > 0, got {self.poll_interval}")
+        check.done()
 
 
 @dataclass(frozen=True)
@@ -117,15 +162,13 @@ class IngestService:
     Args:
         sources: the live inputs; names must be unique (they key the
             stats and checkpoints).
-        pipeline: a trained streaming façade
-            (:class:`~repro.core.streaming.StreamingMoniLog` or
-            :class:`~repro.core.streaming.StreamingShardedMoniLog`) —
-            anything with ``process_batch(records) -> alerts`` and
-            optionally ``flush()``; it is wrapped in a
+        pipeline: a trained streaming
+            :class:`~repro.api.pipeline.Pipeline` — or anything with
+            ``process(records) -> alerts`` and optionally ``flush()``;
+            it is wrapped in a
             :class:`~repro.core.streaming.BatchHandoff` unless one is
             passed directly.
-        config: front-end knobs; see
-            :class:`~repro.core.config.IngestConfig`.
+        config: front-end knobs; see :class:`IngestConfig`.
         checkpoint: optional offset store — a
             :class:`~repro.ingest.checkpoint.CheckpointStore`, or a
             :class:`~repro.ingest.checkpoint.NamespacedCheckpoints`

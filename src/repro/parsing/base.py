@@ -502,9 +502,10 @@ class Parser:
 def parse_in_batches(parser, records, batch_size: int | None = None):
     """Drain ``records`` through ``parser.parse_batch`` in micro-batches.
 
-    The single chunking routine behind ``MoniLog.process_batch``,
-    ``ShardedMoniLog``, and the CLI's ``--batch-size`` — every caller
-    shares the same slicing and validation.  ``parser`` is anything
+    The single chunking routine behind every batched
+    :class:`~repro.api.pipeline.Pipeline` path and the CLI's
+    ``--batch-size`` — every caller shares the same slicing and
+    validation.  ``parser`` is anything
     with a ``parse_batch`` (a :class:`Parser` or a
     :class:`~repro.parsing.distributed.DistributedDrain`);
     ``batch_size=None`` parses the whole list in one batch.  Output is

@@ -12,7 +12,7 @@ never touch metric names.  Two integration styles, chosen per signal:
   histogram observation per finished stage.  A pipeline with nothing
   attached gets a shared no-op handle per stage and reads no clock.
 * **pull collectors** (``attach_*``) for everything the runtime
-  already counts — :class:`~repro.core.pipeline.PipelineStats`,
+  already counts — :class:`~repro.api.pipeline.PipelineStats`,
   :attr:`DistributedDrain.shard_loads`, the
   :class:`~repro.core.streaming.BatchHandoff` depth signal, ingestion
   meters, credit-gate accounting, autoscale knob positions.  These are
@@ -139,7 +139,7 @@ class PipelineTelemetry:
             "monilog_handoff_records_total", "Records through the hand-off")
         self.handoff_busy_seconds = registry.counter(
             "monilog_handoff_busy_seconds_total",
-            "Seconds spent inside process_batch")
+            "Seconds spent inside the pipeline's process")
         self.source_records = registry.counter(
             "monilog_source_records_total",
             "Records read per live source", ("source",))

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.api import ConfigError, Pipeline, PipelineSpec
-from repro.core.config import IngestConfig, MoniLogConfig
+from repro.ingest.service import IngestConfig
 
 
 class TestDefaultsAndBridges:
@@ -15,21 +15,10 @@ class TestDefaultsAndBridges:
         assert spec.detector == "deeplog"
         assert spec.shards == 0
 
-    def test_monilog_config_round_trip(self):
-        config = MoniLogConfig(windowing="sliding", window_size=25,
-                               use_masking=False, min_window_events=3)
-        spec = PipelineSpec.from_config(config)
-        assert spec.windowing == "sliding"
-        assert spec.window_size == 25
-        assert spec.masking is False
-        back = spec.monilog_config()
-        assert back == config
-
     def test_ingest_config_round_trip(self):
-        ingest = IngestConfig(batch_size=32, credits=100, lateness=2.0)
-        spec = PipelineSpec.from_config(None, ingest)
-        assert spec.ingest_batch_size == 32
-        assert spec.ingest_config() == ingest
+        spec = PipelineSpec(ingest_batch_size=32, credits=100, lateness=2.0)
+        assert spec.ingest_config() == IngestConfig(
+            batch_size=32, credits=100, lateness=2.0)
 
 
 class TestAggregatedValidation:
@@ -70,10 +59,6 @@ class TestAggregatedValidation:
             PipelineSpec(sources=[{"type": "file", "bogus": 1}])
 
     def test_legacy_configs_also_aggregate(self):
-        with pytest.raises(ConfigError) as failure:
-            MoniLogConfig(windowing="bogus", window_size=0)
-        assert "windowing" in str(failure.value)
-        assert "window_size" in str(failure.value)
         with pytest.raises(ConfigError) as failure:
             IngestConfig(batch_size=0, credits=0, poll_interval=0)
         assert "3 problems" in str(failure.value)
@@ -184,6 +169,16 @@ class TestPipelineFromSpec:
         with pytest.raises(ValueError, match="detector_factory"):
             Pipeline(PipelineSpec(),
                      detector_factory=lambda shard: None)
+
+    def test_default_detector_is_shard_seeded_deeplog(self):
+        # Seed-accepting detectors get their shard index as the seed.
+        from repro.detection import DeepLogDetector
+
+        pipeline = Pipeline(PipelineSpec(shards=2, detector_shards=3))
+        assert [type(detector) for detector in pipeline.detectors] == \
+            [DeepLogDetector] * 3
+        assert [detector.seed for detector in pipeline.detectors] == [0, 1, 2]
+        pipeline.close()
 
     def test_build_sources_through_registry(self, tmp_path):
         spec = PipelineSpec(sources=[

@@ -100,7 +100,7 @@ class TestPipelineBatchParity:
         batched = self._trained_system(records[:cut])
 
         expected = per_record.run_all(records[cut:])
-        actual = batched.process_batch(records[cut:])
+        actual = batched.process(records[cut:])
         assert expected, "the HDFS fixture must produce alerts"
         assert [_alert_shape(a) for a in actual] == [
             _alert_shape(a) for a in expected
@@ -121,11 +121,24 @@ class TestPipelineBatchParity:
         cut = len(records) * 6 // 10
         one_shot = self._trained_system(records[:cut])
         micro = self._trained_system(records[:cut])
-        expected = one_shot.process_batch(records[cut:])
-        actual = micro.process_batch(records[cut:], batch_size=16)
+        expected = one_shot.process(records[cut:])
+        actual = micro.process(records[cut:], batch_size=16)
         assert [_alert_shape(a) for a in actual] == [
             _alert_shape(a) for a in expected
         ]
+
+    def test_arming_stream_keeps_run_offline(self, hdfs_small):
+        # stream() swaps in a sessionizer; the whole-stream windowing
+        # path must not notice.
+        records = hdfs_small.records
+        cut = len(records) * 6 // 10
+        plain = self._trained_system(records[:cut])
+        armed = self._trained_system(records[:cut])
+        armed.stream(session_timeout=20.0)
+        expected = plain.run_all(records[cut:])
+        assert expected, "the HDFS fixture must produce alerts"
+        assert [_alert_shape(a) for a in armed.run_offline(records[cut:])] \
+            == [_alert_shape(a) for a in expected]
 
     def test_streaming_process_batch_matches_process_loop(self, cloud_small):
         records = cloud_small.records
@@ -145,7 +158,7 @@ class TestPipelineBatchParity:
 
         actual = []
         for start in range(0, len(records) - cut, 50):
-            actual.extend(batch.process_batch(records[cut:][start:start + 50]))
+            actual.extend(batch.process(records[cut:][start:start + 50]))
         actual.extend(batch.flush())
 
         assert [_alert_shape(a) for a in actual] == [

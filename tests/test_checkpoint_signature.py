@@ -15,8 +15,8 @@ import os
 
 import pytest
 
-from repro.core.config import IngestConfig
 from repro.ingest import CheckpointStore, FileTailSource, IngestService
+from repro.ingest.service import IngestConfig
 from repro.ingest.sources import _SIGNATURE_HEAD_BYTES
 
 
@@ -27,7 +27,7 @@ def _drain(path, checkpoint):
         def __init__(self):
             self.messages = []
 
-        def process_batch(self, records):
+        def process(self, records):
             self.messages.extend(record.message for record in records)
             return []
 

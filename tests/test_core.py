@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import MoniLogConfig, Pipeline, PipelineSpec
+from repro import Pipeline, PipelineSpec
 from repro.classify.feedback import AdministratorSimulator, source_based_policy
 from repro.core.calibration import (
     AutoCalibrator,
@@ -16,14 +16,14 @@ from repro.parsing import DrainParser
 
 class TestConfig:
     def test_defaults_valid(self):
-        config = MoniLogConfig()
-        assert config.windowing == "session"
+        spec = PipelineSpec()
+        assert spec.windowing == "session"
 
     def test_validation(self):
         with pytest.raises(ValueError, match="windowing"):
-            MoniLogConfig(windowing="nonsense")
+            PipelineSpec(windowing="nonsense")
         with pytest.raises(ValueError, match="window_size"):
-            MoniLogConfig(window_size=0)
+            PipelineSpec(window_size=0)
 
 
 class TestParameterGrid:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import Pipeline, PipelineSpec
-from repro.core.distributed import _shard_of
+from repro.api.pipeline import _shard_of
 from repro.detection import InvariantMiningDetector
 from repro.datasets import generate_hdfs
 

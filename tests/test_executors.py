@@ -17,7 +17,7 @@ import time
 
 import pytest
 
-from repro.core.config import MoniLogConfig
+from repro.api.spec import PipelineSpec
 from repro.core.executors import (
     EXECUTOR_ENV,
     EXECUTORS,
@@ -164,7 +164,7 @@ class TestResolution:
         with pytest.raises(ValueError, match="MONILOG_EXECUTOR"):
             default_executor_name()
         with pytest.raises(ValueError, match="MONILOG_EXECUTOR"):
-            MoniLogConfig()
+            PipelineSpec()
 
     def test_environment_typo_is_a_clean_cli_error(self, monkeypatch):
         from repro.cli import main
@@ -183,8 +183,8 @@ class TestResolution:
 
     def test_config_validates_and_defaults_from_environment(self, monkeypatch):
         monkeypatch.delenv(EXECUTOR_ENV, raising=False)
-        assert MoniLogConfig().executor == "serial"
+        assert PipelineSpec().executor == "serial"
         monkeypatch.setenv(EXECUTOR_ENV, "process")
-        assert MoniLogConfig().executor == "process"
+        assert PipelineSpec().executor == "process"
         with pytest.raises(ValueError, match="executor"):
-            MoniLogConfig(executor="gpu")
+            PipelineSpec(executor="gpu")

@@ -13,13 +13,13 @@ import time
 
 import pytest
 
-from repro.core.config import IngestConfig
 from repro.ingest import (
     AsyncSourceAdapter,
     FileTailSource,
     IngestService,
     SocketSource,
 )
+from repro.ingest.service import IngestConfig
 from repro.logs.formats import render_line
 from repro.logs.sources import ReplaySource
 
@@ -249,7 +249,7 @@ class TestCancellationFlushesBatcher:
                 self.records = []
                 self.flushed = False
 
-            def process_batch(self, records):
+            def process(self, records):
                 self.records.extend(records)
                 return []
 
@@ -301,7 +301,7 @@ class TestCancellationFlushesBatcher:
             def __init__(self):
                 self.records = []
 
-            def process_batch(self, records):
+            def process(self, records):
                 self.records.extend(records)
                 return []
 
@@ -337,7 +337,7 @@ class TestCancellationFlushesBatcher:
             def __init__(self):
                 self.records = []
 
-            def process_batch(self, records):
+            def process(self, records):
                 self.records.extend(records)
                 return []
 

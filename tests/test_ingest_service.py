@@ -21,10 +21,10 @@ import time
 import pytest
 
 from repro.api import Pipeline, PipelineSpec
-from repro.core.config import IngestConfig
 from repro.core.streaming import BatchHandoff
 from repro.detection.keyword import KeywordMatchDetector
 from repro.ingest import AsyncSourceAdapter, CheckpointStore, IngestService
+from repro.ingest.service import IngestConfig
 from repro.logs.sources import ReplaySource
 from repro.logs.stream import LogStream
 
@@ -32,14 +32,14 @@ from conftest import make_record
 
 
 class RecordingPipeline:
-    """A fake pipeline capturing exactly what reaches ``process_batch``."""
+    """A fake pipeline capturing exactly what reaches ``process``."""
 
     def __init__(self, delay: float = 0.0):
         self.batches: list[list] = []
         self.flushed = False
         self.delay = delay
 
-    def process_batch(self, records):
+    def process(self, records):
         if self.delay:
             time.sleep(self.delay)
         self.batches.append(list(records))
@@ -121,6 +121,29 @@ class TestOfflineParity:
         assert service.merger.late == 0
         assert service.stats().records_processed == \
             sum(len(records) for records in per_source.values())
+
+    def test_service_scores_through_a_streaming_pipeline(self, hdfs_small):
+        # A plain spec-streaming Pipeline is the scoring backend: its
+        # alerts match the same pipeline's process + flush exactly.
+        cut = len(hdfs_small.records) * 6 // 10
+        train, live = hdfs_small.records[:cut], hdfs_small.records[cut:]
+        spec = PipelineSpec(detector="invariants", streaming=True,
+                            session_timeout=1e9)
+        reference = Pipeline(spec).fit(train)
+        expected = reference.process(live) + reference.flush()
+        assert expected
+
+        pipeline = Pipeline(spec).fit(train)
+        service = IngestService(
+            [AsyncSourceAdapter(ReplaySource("replay", live))],
+            pipeline,
+            config=IngestConfig(batch_size=64, max_batch_age=5.0,
+                                lateness=1e9),
+        )
+        actual = asyncio.run(service.run())
+        actual.extend(pipeline.flush())
+        assert [alert_key(alert) for alert in actual] == \
+            [alert_key(alert) for alert in expected]
 
     def test_watermark_merge_restores_timestamp_order(self):
         pipeline = RecordingPipeline()
@@ -232,7 +255,7 @@ class TestFlowPolicies:
             def __init__(self):
                 self.seen_depth = None
 
-            def process_batch(self, records):
+            def process(self, records):
                 self.seen_depth = handoff.depth
                 return []
 

@@ -153,7 +153,7 @@ class TestShardedMoniLogExecutors:
             detector_factory=lambda shard: InvariantMiningDetector(),
         )
         system.fit(records)  # two pseudo-sessions cover both shards
-        from repro.core.distributed import _sessions_by_key
+        from repro.api.pipeline import _sessions_by_key
         parsed = system.parser.parse_batch(records)
         grouped = _sessions_by_key(parsed)
         assert sorted(grouped) == ["source:api", "source:db"]
